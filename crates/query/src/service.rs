@@ -542,22 +542,12 @@ impl QueryService {
     ) -> Self {
         let view = Arc::new(SegmentedSnapshot::from_base(snapshot));
         let stats = Arc::new(StatsCatalog::build(view.as_ref()));
-        QueryService {
-            current: Mutex::new(Generation { view, stats, number: 0, epoch: 0 }),
-            plans: Mutex::new(LruCache::new(capacity)),
-            results: Mutex::new(LruCache::new(capacity)),
-            aliases: Mutex::new(LruCache::new(capacity * 4)),
-            plan_flight: SingleFlight::new(),
-            result_flight: SingleFlight::new(),
-            single_flight: AtomicBool::new(true),
-            views: Mutex::new(ViewRegistry::new(registry)),
-            metrics: ServiceMetrics::publish(registry),
-        }
+        Self::over(view, stats, capacity, registry)
     }
 
     /// Like [`with_instrumentation`](Self::with_instrumentation), but
     /// planning with a caller-provided statistics catalog instead of
-    /// one built from `snapshot`.
+    /// one built from `snapshot` (no catalog is built here).
     ///
     /// This is the partitioned-replica constructor: a router slicing
     /// one KB into N partition services hands every replica the
@@ -570,9 +560,26 @@ impl QueryService {
         capacity: usize,
         registry: &Registry,
     ) -> Self {
-        let service = Self::with_instrumentation(snapshot, capacity, registry);
-        service.current.lock().expect("service lock poisoned").stats = stats;
-        service
+        Self::over(Arc::new(SegmentedSnapshot::from_base(snapshot)), stats, capacity, registry)
+    }
+
+    fn over(
+        view: Arc<SegmentedSnapshot>,
+        stats: Arc<StatsCatalog>,
+        capacity: usize,
+        registry: &Registry,
+    ) -> Self {
+        QueryService {
+            current: Mutex::new(Generation { view, stats, number: 0, epoch: 0 }),
+            plans: Mutex::new(LruCache::new(capacity)),
+            results: Mutex::new(LruCache::new(capacity)),
+            aliases: Mutex::new(LruCache::new(capacity * 4)),
+            plan_flight: SingleFlight::new(),
+            result_flight: SingleFlight::new(),
+            single_flight: AtomicBool::new(true),
+            views: Mutex::new(ViewRegistry::new(registry)),
+            metrics: ServiceMetrics::publish(registry),
+        }
     }
 
     /// Builds a service that serves an already-layered view — the

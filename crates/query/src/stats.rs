@@ -39,8 +39,10 @@ pub struct StatsCatalog {
 }
 
 impl StatsCatalog {
-    /// Harvests the catalog from any [`KbRead`] view.
+    /// Harvests the catalog from any [`KbRead`] view. Every build
+    /// counts in the global registry's `query.stats.builds`.
     pub fn build<K: KbRead + ?Sized>(kb: &K) -> Self {
+        kb_obs::global().counter("query.stats.builds").inc();
         // One cheap insertion-order pass discovers the predicate set and
         // the global distinct-subject/object counts.
         let mut preds: Vec<TermId> = Vec::new();

@@ -1,7 +1,9 @@
 //! The write side of the storage engine: `KbCore` (the shared
-//! dictionary + fact-table state), the batched [`KbBuilder`], and
-//! per-worker [`KbShard`]s with local interning that merge
-//! deterministically at a barrier.
+//! dictionary + fact-table state, plus the triple→fact dedup map that
+//! only ingest needs), the batched [`KbBuilder`], and per-worker
+//! [`KbShard`]s with local interning that merge deterministically at a
+//! barrier. Freezing drops the dedup map: the read side's `FrozenCore`
+//! answers exact-triple lookups from its SPO index instead.
 //!
 //! The construction/serving split mirrors the batch-curation vs
 //! read-serving architecture of the industrial KBs the tutorial surveys
@@ -13,12 +15,14 @@
 //! ingest that processed the same facts in the same order. This is what
 //! keeps parallel harvest output bit-identical to the serial path.
 
+use std::sync::Arc;
+
 use crate::fact::{Fact, Triple};
 use crate::fx::FxHashMap;
 use crate::ids::{FactId, TermId};
 use crate::labels::LabelStore;
 use crate::sameas::SameAsStore;
-use crate::snapshot::{FrozenIndexes, KbSnapshot};
+use crate::snapshot::{FrozenCore, FrozenIndexes, KbSnapshot};
 use crate::store::SourceId;
 use crate::taxonomy::Taxonomy;
 use crate::time::TimeSpan;
@@ -37,17 +41,72 @@ pub(crate) enum AddOutcome {
     Resurrected,
 }
 
+/// The provenance source table: names in id order plus the reverse
+/// lookup. Frozen snapshots share one table by `Arc`.
+#[derive(Debug, Default, Clone)]
+pub(crate) struct SourceTable {
+    names: Vec<String>,
+    lookup: FxHashMap<String, SourceId>,
+}
+
+impl SourceTable {
+    /// Rebuilds a table from its names in id order. Returns the
+    /// offending name if one repeats — a loader-side validation, since
+    /// [`register`](Self::register) never creates a duplicate.
+    pub(crate) fn from_names(names: Vec<String>) -> Result<Self, String> {
+        let mut lookup = FxHashMap::with_capacity_and_hasher(names.len(), Default::default());
+        for (i, name) in names.iter().enumerate() {
+            if lookup.insert(name.clone(), SourceId(i as u32)).is_some() {
+                return Err(name.clone());
+            }
+        }
+        Ok(Self { names, lookup })
+    }
+
+    pub(crate) fn register(&mut self, name: &str) -> SourceId {
+        if let Some(&id) = self.lookup.get(name) {
+            return id;
+        }
+        let id = SourceId(self.names.len() as u32);
+        self.names.push(name.to_string());
+        self.lookup.insert(name.to_string(), id);
+        id
+    }
+
+    pub(crate) fn get(&self, name: &str) -> Option<SourceId> {
+        self.lookup.get(name).copied()
+    }
+
+    pub(crate) fn name(&self, id: SourceId) -> Option<&str> {
+        self.names.get(id.0 as usize).map(|s| s.as_str())
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        self.names.len()
+    }
+
+    /// Names in id order.
+    pub(crate) fn names(&self) -> &[String] {
+        &self.names
+    }
+
+    /// `(id, name)` pairs in id order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (SourceId, &str)> {
+        self.names.iter().enumerate().map(|(i, s)| (SourceId(i as u32), s.as_str()))
+    }
+}
+
 /// The mutable heart shared by every write-side type: term dictionary,
 /// append-only fact table, triple→fact dedup map and provenance
 /// sources. Holds *no* permutation indexes — those belong to the read
-/// side ([`FrozenIndexes`]) and are built by freezing.
+/// side ([`FrozenIndexes`]) and are built by freezing, which also drops
+/// the dedup map ([`freeze`](Self::freeze)).
 #[derive(Debug, Default, Clone)]
 pub(crate) struct KbCore {
     pub(crate) dict: Dictionary,
     pub(crate) facts: Vec<Fact>,
     pub(crate) by_triple: FxHashMap<Triple, FactId>,
-    pub(crate) sources: Vec<String>,
-    pub(crate) source_lookup: FxHashMap<String, SourceId>,
+    pub(crate) sources: SourceTable,
     /// Number of live (non-retracted) facts, maintained incrementally
     /// so `len()` stays O(1) without any index.
     pub(crate) live: usize,
@@ -57,23 +116,18 @@ impl KbCore {
     /// An empty core with the default `"asserted"` source registered.
     pub(crate) fn new() -> Self {
         let mut core = Self::default();
-        let id = core.register_source("asserted");
+        let id = core.sources.register("asserted");
         debug_assert_eq!(id, SourceId::DEFAULT);
         core
     }
 
-    pub(crate) fn register_source(&mut self, name: &str) -> SourceId {
-        if let Some(&id) = self.source_lookup.get(name) {
-            return id;
-        }
-        let id = SourceId(self.sources.len() as u32);
-        self.sources.push(name.to_string());
-        self.source_lookup.insert(name.to_string(), id);
-        id
-    }
-
-    pub(crate) fn source_name(&self, id: SourceId) -> Option<&str> {
-        self.sources.get(id.0 as usize).map(|s| s.as_str())
+    /// The read-side core: the same dictionary, sources and fact table
+    /// with the dedup map dropped. Freed before the caller sorts the
+    /// permutation indexes, so a freeze never holds both at once.
+    pub(crate) fn freeze(self) -> FrozenCore {
+        let KbCore { dict, facts, by_triple, sources, live } = self;
+        drop(by_triple);
+        FrozenCore { dict: Arc::new(dict), sources: Arc::new(sources), facts, live }
     }
 
     /// Adds or merges a fact; see [`KnowledgeBase::add_fact`] for the
@@ -147,7 +201,8 @@ impl KbCore {
         }
     }
 
-    /// Looks up a live fact by triple.
+    /// Looks up a live fact by triple (the write side's hash probe; a
+    /// frozen snapshot probes its SPO index instead).
     pub(crate) fn fact_for(&self, t: &Triple) -> Option<&Fact> {
         self.by_triple.get(t).map(|id| &self.facts[id.index()]).filter(|f| !f.is_retracted())
     }
@@ -300,7 +355,7 @@ impl KbBuilder {
 
     /// Registers (or retrieves) a provenance source by name.
     pub fn register_source(&mut self, name: &str) -> SourceId {
-        self.core.register_source(name)
+        self.core.sources.register(name)
     }
 
     /// Adds a fully-confident fact with default provenance.
@@ -387,12 +442,14 @@ impl KbBuilder {
         added
     }
 
-    /// Freezes the builder into an immutable snapshot: sorts the three
-    /// permutation indexes once (`O(n log n)`) and hands everything
-    /// over without copying the fact table.
+    /// Freezes the builder into an immutable snapshot: drops the
+    /// triple dedup map, sorts the three permutation indexes once
+    /// (`O(n log n)`) and hands everything over without copying the
+    /// fact table.
     pub fn freeze(self) -> KbSnapshot {
-        let indexes = FrozenIndexes::build(&self.core.facts);
-        KbSnapshot::from_parts(self.core, self.taxonomy, self.sameas, self.labels, indexes)
+        let core = self.core.freeze();
+        let indexes = FrozenIndexes::build(&core.facts);
+        KbSnapshot::from_parts(core, self.taxonomy, self.sameas, self.labels, indexes)
     }
 
     /// Freezes the builder into a [`DeltaSegment`](crate::DeltaSegment)

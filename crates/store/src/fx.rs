@@ -3,8 +3,8 @@
 //! The default `std` hasher (SipHash-1-3) is keyed and DoS-resistant,
 //! which none of our internal maps need: they are keyed by dense ids we
 //! mint ourselves (`Triple`, `TermId`) or by interned strings. On the
-//! cold-start path the `by_triple` map alone re-inserts every fact in
-//! the segment, and SipHash was the single largest line item in that
+//! cold-start path the duplicate-triple check alone inserts every fact
+//! of the segment, and SipHash was the single largest line item in that
 //! profile. This is the word-at-a-time multiply-rotate scheme used by
 //! rustc ("FxHash"), reimplemented here because the container image
 //! carries no external hashing crate.

@@ -12,11 +12,11 @@
 //! Three pieces:
 //!
 //! * [`partition_snapshot`] slices a base [`KbSnapshot`] into N
-//!   snapshots. The term dictionary, source table, taxonomy, sameAs
-//!   store and labels are replicated wholesale into every partition, so
-//!   all partitions speak the same [`TermId`]/[`SourceId`] language as
-//!   the original — a query plan built against one view is valid
-//!   against any of them.
+//!   snapshots. Every partition shares the base's term dictionary and
+//!   source table by `Arc` and carries the taxonomy, sameAs store and
+//!   labels, so all partitions speak the same [`TermId`]/[`SourceId`]
+//!   language as the original — a query plan built against one view is
+//!   valid against any of them.
 //! * [`partition_delta`] splits an already-frozen [`DeltaSegment`] the
 //!   same way: the term/source extension tables are replicated, the
 //!   fact rows are routed by subject hash. Because a triple always
@@ -35,16 +35,14 @@
 
 use std::sync::Arc;
 
-use crate::builder::KbCore;
 use crate::fact::{Fact, Triple};
-use crate::fx::FxHashMap;
 use crate::ids::{FactId, TermId};
 use crate::labels::LabelStore;
 use crate::pattern::TriplePattern;
 use crate::read::KbRead;
 use crate::sameas::SameAsStore;
 use crate::segment::{DeltaSegment, SegmentedSnapshot};
-use crate::snapshot::{FrozenIndexes, KbSnapshot, LiveFactsIter, MatchIter};
+use crate::snapshot::{FrozenCore, FrozenIndexes, KbSnapshot, LiveFactsIter, MatchIter};
 use crate::store::SourceId;
 use crate::taxonomy::Taxonomy;
 
@@ -67,41 +65,52 @@ pub fn subject_partition(subject: &str, partitions: usize) -> usize {
 /// Slices a base snapshot into `partitions` disjoint snapshots by
 /// subject hash.
 ///
-/// Every partition clones the full dictionary, source table, taxonomy,
-/// sameAs classes and labels (ids stay global); only the fact table is
-/// split. Fact rows are copied verbatim — retracted rows included, so a
-/// partition's `fact_for` visibility answers match the monolith's — and
+/// Every partition shares the base's dictionary and source table (one
+/// `Arc` each, so ids stay global and nothing is copied) and clones its
+/// taxonomy, sameAs classes and labels; only the fact table is split.
+/// Fact rows are copied verbatim — retracted rows included, so a
+/// partition's fact table mirrors its slice of the monolith's — and
 /// each partition freezes its own permutation indexes over its slice.
+///
+/// Each subject string is hashed once, on its first fact, and a
+/// counting pass sizes every partition's fact table up front.
 ///
 /// Deterministic: a pure function of the input snapshot, so two routers
 /// partitioning the same snapshot agree on every placement.
 pub fn partition_snapshot(base: &KbSnapshot, partitions: usize) -> Vec<KbSnapshot> {
     assert!(partitions > 0, "partition count must be positive");
-    let template = KbCore {
-        dict: base.core().dict.clone(),
-        facts: Vec::new(),
-        by_triple: FxHashMap::default(),
-        sources: base.core().sources.clone(),
-        source_lookup: base.core().source_lookup.clone(),
-        live: 0,
-    };
-    let mut cores: Vec<KbCore> = (0..partitions).map(|_| template.clone()).collect();
-    for f in &base.core().facts {
-        let subject = base.core().dict.resolve(f.triple.s).expect("fact subject is interned");
-        let core = &mut cores[subject_partition(subject, partitions)];
-        let id = FactId(core.facts.len() as u32);
-        core.by_triple.insert(f.triple, id);
-        if !f.is_retracted() {
-            core.live += 1;
+    let core = base.core();
+    const UNSEEN: u32 = u32::MAX;
+    let mut owner_of = vec![UNSEEN; core.dict.len()];
+    let mut owner = |s: TermId| {
+        let slot = &mut owner_of[s.index()];
+        if *slot == UNSEEN {
+            let subject = core.dict.resolve(s).expect("fact subject is interned");
+            *slot = subject_partition(subject, partitions) as u32;
         }
-        core.facts.push(f.clone());
+        *slot as usize
+    };
+    let mut sizes = vec![0usize; partitions];
+    for f in &core.facts {
+        sizes[owner(f.triple.s)] += 1;
     }
-    cores
+    let mut slices: Vec<Vec<Fact>> = sizes.into_iter().map(Vec::with_capacity).collect();
+    for f in &core.facts {
+        slices[owner(f.triple.s)].push(f.clone());
+    }
+    slices
         .into_iter()
-        .map(|core| {
-            let indexes = FrozenIndexes::build(&core.facts);
+        .map(|facts| {
+            let live = facts.iter().filter(|f| !f.is_retracted()).count();
+            let indexes = FrozenIndexes::build(&facts);
+            let part = FrozenCore {
+                dict: Arc::clone(&core.dict),
+                sources: Arc::clone(&core.sources),
+                facts,
+                live,
+            };
             KbSnapshot::from_parts(
-                core,
+                part,
                 base.taxonomy().clone(),
                 base.sameas().clone(),
                 base.labels().clone(),
@@ -165,8 +174,8 @@ pub fn partition_delta<K: KbRead + ?Sized>(
 /// Because partitions hold disjoint triple sets (subject colocation)
 /// and share the global term/source id space, the merge is exact and
 /// cheap: dictionary lookups delegate to partition 0 (every partition
-/// holds the full dictionary), point lookups probe the owning
-/// partition's hash maps, and [`matching_iter`](KbRead::matching_iter)
+/// shares the full dictionary), point lookups probe each partition's
+/// SPO index, and [`matching_iter`](KbRead::matching_iter)
 /// k-way merges one cursor per segment across all partitions — within a
 /// partition the base→delta cursor order preserves shadowing and
 /// tombstone semantics, across partitions keys never collide, so the
@@ -208,7 +217,7 @@ impl PartitionedView {
 
 impl KbRead for PartitionedView {
     // Dictionary, ontology and source lookups delegate to partition 0:
-    // every partition replicates the full term/source space and the
+    // every partition shares the full term/source space and the
     // base-level taxonomy/sameAs/label stores.
     fn term(&self, term: &str) -> Option<TermId> {
         self.parts[0].term(term)

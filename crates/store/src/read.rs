@@ -70,8 +70,9 @@ pub trait KbRead {
     /// Looks up a fact by id (retracted facts remain addressable).
     fn fact(&self, id: FactId) -> Option<&Fact>;
 
-    /// Looks up a live fact by triple — `O(1)` via the dedup map, so
-    /// bulk existence checks (e.g. KB fusion) never touch the indexes.
+    /// Looks up a live fact by triple. Write-side stores answer from
+    /// their `O(1)` dedup map; frozen snapshots probe the SPO index (an
+    /// `O(1)` subject bucket, then a binary search on `(p, o)`).
     fn fact_for(&self, t: &Triple) -> Option<&Fact>;
 
     /// Number of live (non-retracted) facts.

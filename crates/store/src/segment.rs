@@ -29,14 +29,17 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use crate::builder::{KbBuilder, KbCore};
+use crate::builder::KbBuilder;
 use crate::fact::{Fact, Triple};
+use crate::fx::FxHashMap;
 use crate::ids::{FactId, TermId};
 use crate::labels::LabelStore;
 use crate::pattern::TriplePattern;
 use crate::read::KbRead;
 use crate::sameas::SameAsStore;
-use crate::snapshot::{FrozenIndexes, IndexStats, KbSnapshot, LiveFactsIter, MatchIter};
+use crate::snapshot::{
+    FrozenCore, FrozenIndexes, IndexStats, KbSnapshot, LiveFactsIter, MatchIter,
+};
 use crate::store::SourceId;
 use crate::taxonomy::Taxonomy;
 
@@ -119,6 +122,7 @@ impl DeltaSegment {
         let mut ext_sources: Vec<String> = Vec::new();
         let source_remap: Vec<SourceId> = core
             .sources
+            .names()
             .iter()
             .map(|name| {
                 view.source_id(name).unwrap_or_else(|| {
@@ -509,7 +513,7 @@ impl SegmentedSnapshot {
 
     /// Looks up a provenance source by name across all segments.
     pub(crate) fn source_id(&self, name: &str) -> Option<SourceId> {
-        if let Some(&id) = self.base.core().source_lookup.get(name) {
+        if let Some(id) = self.base.core().sources.get(name) {
             return Some(id);
         }
         for d in &self.deltas {
@@ -521,43 +525,63 @@ impl SegmentedSnapshot {
     }
 
     /// Folds the delta stack into a fresh monolithic [`KbSnapshot`]
-    /// (replaying each delta's entries over a clone of the base, then
-    /// rebuilding the permutation indexes once). Runs off the serving
-    /// path — readers keep using the layered view until the compacted
-    /// snapshot is installed.
+    /// (replaying each delta's entries over a copy of the base fact
+    /// table, then rebuilding the permutation indexes once). The
+    /// dictionary and source table stay shared with the base unless a
+    /// delta extends them. Runs off the serving path — readers keep
+    /// using the layered view until the compacted snapshot is
+    /// installed.
     pub fn compact(&self) -> KbSnapshot {
         let obs = kb_obs::global();
         let span = obs.span("store.compact_us");
-        let mut core: KbCore = self.base.core().clone();
+        let base = self.base.core();
+        let (mut dict, mut sources) = (Arc::clone(&base.dict), Arc::clone(&base.sources));
+        let mut facts = base.facts.clone();
+        // Live base rows are found through the base's SPO index. The
+        // compacted table must still hold one row per triple, so
+        // retracted base rows (not indexed) and rows appended here are
+        // tracked in a map that is dropped once the replay is done.
+        let mut unindexed: FxHashMap<Triple, FactId> = facts
+            .iter()
+            .enumerate()
+            .filter(|(_, f)| f.is_retracted())
+            .map(|(i, f)| (f.triple, FactId(i as u32)))
+            .collect();
         for d in &self.deltas {
             for term in &d.ext_terms {
-                let id = core.dict.intern(term);
-                debug_assert_eq!(id.index() + 1, core.dict.len());
+                let dict = Arc::make_mut(&mut dict);
+                let id = dict.intern(term);
+                debug_assert_eq!(id.index() + 1, dict.len());
             }
             for name in &d.ext_sources {
-                core.register_source(name);
+                Arc::make_mut(&mut sources).register(name);
             }
             for f in &d.facts {
                 // Shadow entries already carry the view-merged
                 // confidence/span and tombstones carry zero, so the
                 // replay *overwrites* rather than re-merges.
-                match core.by_triple.get(&f.triple) {
-                    Some(&id) => core.facts[id.index()] = f.clone(),
+                let row = self
+                    .base
+                    .indexes
+                    .find(&f.triple, &base.facts)
+                    .or_else(|| unindexed.get(&f.triple).copied());
+                match row {
+                    Some(id) => facts[id.index()] = f.clone(),
                     None => {
-                        let id = FactId(core.facts.len() as u32);
-                        core.by_triple.insert(f.triple, id);
-                        core.facts.push(f.clone());
+                        unindexed.insert(f.triple, FactId(facts.len() as u32));
+                        facts.push(f.clone());
                     }
                 }
             }
         }
-        core.live = core.facts.iter().filter(|f| !f.is_retracted()).count();
-        debug_assert_eq!(core.live, self.len());
-        let indexes = FrozenIndexes::build(&core.facts);
+        drop(unindexed);
+        let live = facts.iter().filter(|f| !f.is_retracted()).count();
+        debug_assert_eq!(live, self.len());
+        let indexes = FrozenIndexes::build(&facts);
         span.stop();
         obs.counter("store.compactions").inc();
         KbSnapshot::from_parts(
-            core,
+            FrozenCore { dict, sources, facts, live },
             self.base.taxonomy().clone(),
             self.base.sameas().clone(),
             self.base.labels().clone(),
@@ -612,7 +636,7 @@ impl KbRead for SegmentedSnapshot {
     fn source_name(&self, id: SourceId) -> Option<&str> {
         let idx = id.0 as usize;
         if idx < self.base.source_count() {
-            return self.base.core().source_name(id);
+            return self.base.core().sources.name(id);
         }
         for d in &self.deltas {
             let first = d.first_source as usize;
@@ -648,7 +672,7 @@ impl KbRead for SegmentedSnapshot {
                 return (!f.is_retracted()).then_some(f);
             }
         }
-        self.base.core().fact_for(t)
+        self.base.fact_for(t)
     }
 
     fn len(&self) -> usize {

@@ -45,17 +45,19 @@ use std::ops::Range;
 use std::path::Path;
 use std::sync::Arc;
 
-use crate::builder::KbCore;
+use crate::builder::SourceTable;
 use crate::error::SegmentRegion;
 use crate::fact::{Fact, Triple};
 use crate::frames::{ColFrames, FrameMeta};
-use crate::fx::FxHashMap;
-use crate::ids::{FactId, TermId};
+use crate::fx::FxHashSet;
+use crate::ids::TermId;
 use crate::labels::LabelStore;
 use crate::sameas::SameAsStore;
 use crate::segmap::{ColSlot, FrameRegion, MemoryBudget, SegmentSource, FRAME_COLS};
 use crate::segment::{DeltaSegment, FactKind};
-use crate::snapshot::{EagerBase, FrozenIndexes, KbSnapshot, LazyBase, LazyIndexes, PermFrames};
+use crate::snapshot::{
+    EagerBase, FrozenCore, FrozenIndexes, KbSnapshot, LazyBase, LazyIndexes, PermFrames,
+};
 use crate::store::SourceId;
 use crate::taxonomy::Taxonomy;
 use crate::time::TimeSpan;
@@ -893,7 +895,7 @@ pub(crate) fn snapshot_to_bytes(snap: &KbSnapshot) -> Result<Vec<u8>, StoreError
         ),
         (
             SegmentRegion::Sources,
-            encode_terms(core.sources.iter(), core.sources.len(), SegmentRegion::Sources)?,
+            encode_terms(core.sources.names().iter(), core.sources.len(), SegmentRegion::Sources)?,
         ),
         (SegmentRegion::Facts, encode_facts(&core.facts)?),
         (SegmentRegion::Frames, encode_frames(snap.indexes().frame_cols())?),
@@ -920,7 +922,7 @@ pub(crate) fn snapshot_to_bytes_v1(snap: &KbSnapshot) -> Result<Vec<u8>, StoreEr
         ),
         (
             SegmentRegion::Sources,
-            encode_terms(core.sources.iter(), core.sources.len(), SegmentRegion::Sources)?,
+            encode_terms(core.sources.names().iter(), core.sources.len(), SegmentRegion::Sources)?,
         ),
         (SegmentRegion::Facts, encode_facts(&core.facts)?),
         (SegmentRegion::Permutations, encode_perms(&snap.indexes().perm_fact_ids())?),
@@ -982,7 +984,7 @@ fn decode_indexes(
 pub(crate) fn snapshot_from_bytes(buf: &[u8]) -> Result<KbSnapshot, StoreError> {
     let (_, version, entries) = parse_header(buf, Some(MAGIC_BASE))?;
 
-    // The fact table comes first: the triple-dedup map and the
+    // The fact table comes first: the duplicate-triple check and the
     // permutation validation both read it, while the dictionary decode
     // is independent of all three — so decode facts once, then overlap
     // the remaining heavy steps across threads. This fan-out is what
@@ -990,49 +992,22 @@ pub(crate) fn snapshot_from_bytes(buf: &[u8]) -> Result<KbSnapshot, StoreError> 
     let facts = decode_facts(region(buf, &entries, SegmentRegion::Facts)?)?;
     let live = facts.iter().filter(|f| !f.is_retracted()).count();
 
-    type DictParts = (Dictionary, Vec<String>, FxHashMap<String, SourceId>);
-    let (dict_parts, by_triple, indexes) = std::thread::scope(|s| {
-        let dict_handle = s.spawn(|| -> Result<DictParts, StoreError> {
+    let (universe, unique, indexes) = std::thread::scope(|s| {
+        let universe = s.spawn(|| {
             let terms = decode_terms(region(buf, &entries, SegmentRegion::Dictionary)?)?;
-            let dict = Dictionary::from_terms(terms).ok_or_else(|| {
-                corrupt(SegmentRegion::Dictionary, "duplicate term in dictionary")
-            })?;
-            let sources = decode_sources(region(buf, &entries, SegmentRegion::Sources)?)?;
-            let mut source_lookup =
-                FxHashMap::with_capacity_and_hasher(sources.len(), Default::default());
-            for (i, name) in sources.iter().enumerate() {
-                if source_lookup.insert(name.clone(), SourceId(i as u32)).is_some() {
-                    return Err(corrupt(
-                        SegmentRegion::Sources,
-                        format!("duplicate source {name:?}"),
-                    ));
-                }
-            }
-            Ok((dict, sources, source_lookup))
+            universe_from(terms, decode_sources(region(buf, &entries, SegmentRegion::Sources)?)?)
         });
-        let triple_handle = s.spawn(|| -> Result<FxHashMap<Triple, FactId>, StoreError> {
-            let mut by_triple =
-                FxHashMap::with_capacity_and_hasher(facts.len(), Default::default());
-            for (i, f) in facts.iter().enumerate() {
-                if by_triple.insert(f.triple, FactId(i as u32)).is_some() {
-                    return Err(corrupt(
-                        SegmentRegion::Facts,
-                        format!("fact {i}: duplicate triple"),
-                    ));
-                }
-            }
-            Ok(by_triple)
-        });
+        let unique = s.spawn(|| check_unique_triples(&facts));
         // A base segment indexes exactly its live facts, none retracted.
         let indexes = decode_indexes(buf, &entries, version, &facts, live, true);
         (
-            dict_handle.join().expect("dictionary decode"),
-            triple_handle.join().expect("triple map build"),
+            universe.join().expect("dictionary decode"),
+            unique.join().expect("duplicate-triple check"),
             indexes,
         )
     });
-    let (dict, sources, source_lookup) = dict_parts?;
-    let by_triple = by_triple?;
+    let (dict, sources) = universe?;
+    unique?;
     let indexes = indexes?;
     // Deferred from decode_facts: the term/source universe only exists
     // once the concurrent dictionary decode has landed.
@@ -1042,8 +1017,32 @@ pub(crate) fn snapshot_from_bytes(buf: &[u8]) -> Result<KbSnapshot, StoreError> 
     let sameas = decode_sameas(region(buf, &entries, SegmentRegion::SameAs)?, dict.len())?;
     let labels = decode_labels(region(buf, &entries, SegmentRegion::Labels)?, dict.len())?;
 
-    let core = KbCore { dict, facts, by_triple, sources, source_lookup, live };
+    let core = FrozenCore { dict: Arc::new(dict), sources: Arc::new(sources), facts, live };
     Ok(KbSnapshot::from_parts(core, taxonomy, sameas, labels, indexes))
+}
+
+/// Builds the lookup tables over decoded term and source names,
+/// rejecting a repeated name in either.
+fn universe_from(
+    terms: Vec<Arc<str>>,
+    sources: Vec<String>,
+) -> Result<(Dictionary, SourceTable), StoreError> {
+    let dict = Dictionary::from_terms(terms)
+        .ok_or_else(|| corrupt(SegmentRegion::Dictionary, "duplicate term in dictionary"))?;
+    let sources = SourceTable::from_names(sources)
+        .map_err(|name| corrupt(SegmentRegion::Sources, format!("duplicate source {name:?}")))?;
+    Ok((dict, sources))
+}
+
+/// Rejects a fact table that holds any triple twice, live or retracted.
+/// The set is transient: frozen snapshots keep no triple map, they
+/// probe the SPO index.
+fn check_unique_triples(facts: &[Fact]) -> Result<(), StoreError> {
+    let mut seen = FxHashSet::with_capacity_and_hasher(facts.len(), Default::default());
+    match facts.iter().position(|f| !seen.insert(f.triple)) {
+        Some(i) => Err(corrupt(SegmentRegion::Facts, format!("fact {i}: duplicate triple"))),
+        None => Ok(()),
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -1095,31 +1094,34 @@ pub(crate) fn region_count_prefix(
 /// with one positioned read and CRC-verified on this first touch. Runs
 /// at most once per snapshot (cached in [`LazyBase`]); the same
 /// validation as the eager open applies, so a corrupt region is the
-/// same typed error either way.
+/// same typed error either way. As on the eager path, the dictionary
+/// decode overlaps the fact-table decode and its duplicate check.
 pub(crate) fn fault_base(
     source: &Arc<SegmentSource>,
     entries: &[RegionEntry],
 ) -> Result<EagerBase, StoreError> {
-    let facts = decode_facts(&region_from_source(source, entries, SegmentRegion::Facts)?)?;
-    let live = facts.iter().filter(|f| !f.is_retracted()).count();
-
-    let terms = decode_terms(&region_from_source(source, entries, SegmentRegion::Dictionary)?)?;
-    let dict = Dictionary::from_terms(terms)
-        .ok_or_else(|| corrupt(SegmentRegion::Dictionary, "duplicate term in dictionary"))?;
-    let sources = decode_sources(&region_from_source(source, entries, SegmentRegion::Sources)?)?;
-    let mut source_lookup = FxHashMap::with_capacity_and_hasher(sources.len(), Default::default());
-    for (i, name) in sources.iter().enumerate() {
-        if source_lookup.insert(name.clone(), SourceId(i as u32)).is_some() {
-            return Err(corrupt(SegmentRegion::Sources, format!("duplicate source {name:?}")));
-        }
-    }
-    let mut by_triple = FxHashMap::with_capacity_and_hasher(facts.len(), Default::default());
-    for (i, f) in facts.iter().enumerate() {
-        if by_triple.insert(f.triple, FactId(i as u32)).is_some() {
-            return Err(corrupt(SegmentRegion::Facts, format!("fact {i}: duplicate triple")));
-        }
-    }
+    let (facts, universe) = std::thread::scope(|s| {
+        let universe = s.spawn(|| {
+            let terms =
+                decode_terms(&region_from_source(source, entries, SegmentRegion::Dictionary)?)?;
+            universe_from(
+                terms,
+                decode_sources(&region_from_source(source, entries, SegmentRegion::Sources)?)?,
+            )
+        });
+        let facts = region_from_source(source, entries, SegmentRegion::Facts)
+            .and_then(|buf| decode_facts(&buf))
+            .map(|facts| {
+                let unique = check_unique_triples(&facts);
+                (facts, unique)
+            });
+        (facts, universe.join().expect("dictionary decode"))
+    });
+    let (facts, unique) = facts?;
+    let (dict, sources) = universe?;
+    unique?;
     check_fact_ids(&facts, dict.len(), sources.len())?;
+    let live = facts.iter().filter(|f| !f.is_retracted()).count();
 
     let taxonomy = decode_taxonomy(
         &region_from_source(source, entries, SegmentRegion::Taxonomy)?,
@@ -1130,7 +1132,7 @@ pub(crate) fn fault_base(
     let labels =
         decode_labels(&region_from_source(source, entries, SegmentRegion::Labels)?, dict.len())?;
 
-    let core = KbCore { dict, facts, by_triple, sources, source_lookup, live };
+    let core = FrozenCore { dict: Arc::new(dict), sources: Arc::new(sources), facts, live };
     Ok(EagerBase { core, taxonomy, sameas, labels })
 }
 
@@ -1296,14 +1298,7 @@ pub(crate) fn delta_from_bytes(buf: &[u8]) -> Result<DeltaSegment, StoreError> {
     let source_count = first_source as usize + ext_sources.len();
     let facts = decode_facts(region(buf, &entries, SegmentRegion::Facts)?)?;
     check_fact_ids(&facts, term_count, source_count)?;
-    {
-        let mut seen = std::collections::HashSet::with_capacity(facts.len());
-        for (i, f) in facts.iter().enumerate() {
-            if !seen.insert(f.triple) {
-                return Err(corrupt(SegmentRegion::Facts, format!("fact {i}: duplicate triple")));
-            }
-        }
-    }
+    check_unique_triples(&facts)?;
 
     let kinds_buf = region(buf, &entries, SegmentRegion::Kinds)?;
     let mut cur = Cur::new(kinds_buf, SegmentRegion::Kinds);
@@ -1447,7 +1442,7 @@ impl DeltaSegment {
 mod tests {
     use super::*;
     use crate::read::KbRead;
-    use crate::{KbBuilder, SegmentedSnapshot, TimePoint, TriplePattern};
+    use crate::{FactId, KbBuilder, SegmentedSnapshot, TimePoint, TriplePattern};
 
     fn sample_snapshot() -> KbSnapshot {
         let mut b = KbBuilder::new();

@@ -31,7 +31,7 @@
 
 use std::sync::{Arc, OnceLock};
 
-use crate::builder::KbCore;
+use crate::builder::SourceTable;
 use crate::error::StoreError;
 use crate::fact::{Fact, Triple};
 use crate::frames::{ColFrames, FRAME_ROWS};
@@ -215,6 +215,23 @@ fn partition(mut lo: usize, mut hi: usize, mut below: impl FnMut(usize) -> bool)
         }
     }
     lo
+}
+
+/// The SPO row holding exactly `t`: an `O(1)` subject bucket from the
+/// offset column, then a binary search on `(p, o)` whose probes go
+/// through the bitpacked fid column into the fact table.
+fn spo_row(starts: &ColFrames, fid: &ColFrames, facts: &[Fact], t: &Triple) -> Option<FactId> {
+    let s = t.s.index();
+    if s + 1 >= starts.len() {
+        return None;
+    }
+    let (lo, hi) = (starts.get(s) as usize, starts.get(s + 1) as usize);
+    let po = |i: usize| {
+        let f = &facts[fid.get(i) as usize].triple;
+        (f.p, f.o)
+    };
+    let i = partition(lo, hi, |i| po(i) < (t.p, t.o));
+    (i < hi && po(i) == (t.p, t.o)).then(|| FactId(fid.get(i)))
 }
 
 /// Size and compression accounting for a set of frozen indexes.
@@ -711,6 +728,17 @@ impl FrozenIndexes {
         match self {
             FrozenIndexes::Eager(_) => Ok(()),
             FrozenIndexes::Lazy(ix) => ix.region.prefault(),
+        }
+    }
+
+    /// The fact id indexed under exactly `t`, if any (see [`spo_row`]).
+    /// A base segment indexes only live facts, a delta its tombstones
+    /// too, so the probe answers with the segment's own visibility. On
+    /// lazy indexes this pins the SPO fid and starts columns.
+    pub(crate) fn find(&self, t: &Triple, facts: &[Fact]) -> Option<FactId> {
+        match self {
+            FrozenIndexes::Eager(ix) => spo_row(&ix.spo_starts, &ix.spo.fid, facts, t),
+            FrozenIndexes::Lazy(ix) => spo_row(&ix.pin(12), &ix.pin(3), facts, t),
         }
     }
 
@@ -1289,11 +1317,25 @@ pub struct KbSnapshot {
     pub(crate) indexes: FrozenIndexes,
 }
 
+/// What a frozen snapshot keeps of the write-side core: the fact table
+/// and its live count, plus the dictionary and source table behind
+/// `Arc`s, so partitions and compacted snapshots share them instead of
+/// copying. There is deliberately no triple→fact map: exact-triple
+/// lookups probe the SPO index ([`FrozenIndexes::find`]).
+#[derive(Debug, Clone)]
+pub(crate) struct FrozenCore {
+    pub(crate) dict: Arc<Dictionary>,
+    pub(crate) sources: Arc<SourceTable>,
+    pub(crate) facts: Vec<Fact>,
+    /// Number of live (non-retracted) rows in `facts`.
+    pub(crate) live: usize,
+}
+
 /// The non-index regions of a snapshot, fully decoded: the fact table
 /// with its dictionary/source universe plus the ontology-level stores.
 #[derive(Debug, Clone)]
 pub(crate) struct EagerBase {
-    pub(crate) core: KbCore,
+    pub(crate) core: FrozenCore,
     pub(crate) taxonomy: Taxonomy,
     pub(crate) sameas: SameAsStore,
     pub(crate) labels: LabelStore,
@@ -1364,7 +1406,7 @@ enum BaseState {
 
 impl KbSnapshot {
     pub(crate) fn from_parts(
-        core: KbCore,
+        core: FrozenCore,
         taxonomy: Taxonomy,
         sameas: SameAsStore,
         labels: LabelStore,
@@ -1419,7 +1461,7 @@ impl KbSnapshot {
         self.indexes.prefault()
     }
 
-    pub(crate) fn core(&self) -> &KbCore {
+    pub(crate) fn core(&self) -> &FrozenCore {
         &self.base_ref().core
     }
 
@@ -1453,7 +1495,7 @@ impl KbSnapshot {
 
     /// All registered sources in id order.
     pub fn sources(&self) -> impl Iterator<Item = (SourceId, &str)> {
-        self.core().sources.iter().enumerate().map(|(i, s)| (SourceId(i as u32), s.as_str()))
+        self.core().sources.iter()
     }
 
     /// Number of registered provenance sources. Cheap on a lazy
@@ -1503,15 +1545,18 @@ impl KbRead for KbSnapshot {
     }
 
     fn source_name(&self, id: SourceId) -> Option<&str> {
-        self.core().source_name(id)
+        self.core().sources.name(id)
     }
 
     fn fact(&self, id: FactId) -> Option<&Fact> {
         self.core().facts.get(id.index())
     }
 
+    /// An SPO index probe; retracted rows are not indexed, so only live
+    /// facts are found.
     fn fact_for(&self, t: &Triple) -> Option<&Fact> {
-        self.core().fact_for(t)
+        let facts = &self.core().facts;
+        self.indexes.find(t, facts).map(|id| &facts[id.index()])
     }
 
     fn len(&self) -> usize {

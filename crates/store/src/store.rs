@@ -23,7 +23,7 @@
 //!   [`KbSnapshot`].
 
 use std::fmt;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 use crate::builder::{AddOutcome, KbCore, KbShard};
 use crate::fact::{Fact, Triple};
@@ -32,7 +32,7 @@ use crate::labels::LabelStore;
 use crate::pattern::TriplePattern;
 use crate::read::KbRead;
 use crate::sameas::SameAsStore;
-use crate::snapshot::{FrozenIndexes, KbSnapshot, MatchIter};
+use crate::snapshot::{FrozenCore, FrozenIndexes, KbSnapshot, MatchIter};
 use crate::taxonomy::Taxonomy;
 use crate::time::TimeSpan;
 
@@ -103,12 +103,12 @@ impl KnowledgeBase {
 
     /// Registers (or retrieves) a provenance source by name.
     pub fn register_source(&mut self, name: &str) -> SourceId {
-        self.core.register_source(name)
+        self.core.sources.register(name)
     }
 
     /// All registered sources in id order.
     pub fn sources(&self) -> impl Iterator<Item = (SourceId, &str)> {
-        self.core.sources.iter().enumerate().map(|(i, s)| (SourceId(i as u32), s.as_str()))
+        self.core.sources.iter()
     }
 
     // ---------------------------------------------------------------
@@ -198,11 +198,18 @@ impl KnowledgeBase {
     }
 
     /// Detaches an immutable, `Arc`-shareable [`KbSnapshot`] of the
-    /// current contents (clones the data; reuses the cached indexes
-    /// when warm).
+    /// current contents (clones the dictionary, sources and fact table
+    /// but not the triple dedup map; reuses the cached indexes when
+    /// warm).
     pub fn snapshot(&self) -> KbSnapshot {
+        let core = &self.core;
         KbSnapshot::from_parts(
-            self.core.clone(),
+            FrozenCore {
+                dict: Arc::new(core.dict.clone()),
+                sources: Arc::new(core.sources.clone()),
+                facts: core.facts.clone(),
+                live: core.live,
+            },
             self.taxonomy.clone(),
             self.sameas.clone(),
             self.labels.clone(),
@@ -214,6 +221,7 @@ impl KnowledgeBase {
     /// cloning the fact table.
     pub fn into_snapshot(self) -> KbSnapshot {
         let KnowledgeBase { core, taxonomy, sameas, labels, frozen } = self;
+        let core = core.freeze();
         let indexes = frozen.into_inner().unwrap_or_else(|| FrozenIndexes::build(&core.facts));
         KbSnapshot::from_parts(core, taxonomy, sameas, labels, indexes)
     }
@@ -250,7 +258,7 @@ impl KbRead for KnowledgeBase {
     }
 
     fn source_name(&self, id: SourceId) -> Option<&str> {
-        self.core.source_name(id)
+        self.core.sources.name(id)
     }
 
     fn fact(&self, id: FactId) -> Option<&Fact> {

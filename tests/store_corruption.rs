@@ -240,3 +240,63 @@ fn cold_region_flips_surface_on_first_access_not_open() {
     }
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// Rewrites fact `dup` of a base segment's fact table to repeat fact
+/// 0's triple — with a live or a zero (retracted) confidence — and
+/// re-seals the region and header checksums, so only the structural
+/// duplicate check stands between the image and a reader. Every fact
+/// of the source KB is span-less, so each row is a fixed 25 bytes.
+fn repeat_first_triple(bytes: &[u8], dup: usize, retracted: bool) -> Vec<u8> {
+    const PREAMBLE: usize = 16;
+    const ENTRY: usize = 1 + 8 + 8 + 4;
+    const ROW: usize = 12 + 8 + 4 + 1;
+    let regions = segment_io::region_map(bytes).expect("region map");
+    let slot = regions.iter().position(|(r, _)| *r == SegmentRegion::Facts).unwrap() - 1;
+    let facts = regions[slot + 1].1.clone();
+    let mut out = bytes.to_vec();
+    let row = |i: usize| facts.start + 4 + i * ROW;
+    let first = out[row(0)..row(0) + 12].to_vec();
+    out[row(dup)..row(dup) + 12].copy_from_slice(&first);
+    if retracted {
+        out[row(dup) + 12..row(dup) + 20].copy_from_slice(&0f64.to_bits().to_le_bytes());
+    }
+    let crc = segment_io::crc32(&out[facts.clone()]);
+    let entry_crc = PREAMBLE + 4 + slot * ENTRY + 1 + 8 + 8;
+    out[entry_crc..entry_crc + 4].copy_from_slice(&crc.to_le_bytes());
+    let header_len = u32::from_le_bytes(out[8..12].try_into().unwrap()) as usize;
+    let header_crc = segment_io::crc32(&out[PREAMBLE..PREAMBLE + header_len]);
+    out[12..16].copy_from_slice(&header_crc.to_le_bytes());
+    out
+}
+
+/// A base segment whose fact table repeats a triple — live/live or
+/// live/retracted — is structurally corrupt even though every checksum
+/// holds. Both the eager reader and a lazy store's first touch must
+/// refuse it as a typed `Corrupt` naming the fact table.
+#[test]
+fn base_segment_with_a_repeated_triple_is_corrupt() {
+    use kbkit::kb_store::KbRead as _;
+    let mut b = KbBuilder::new();
+    for i in 0..6 {
+        b.assert_str(&format!("person_{i}"), "bornIn", &format!("city_{}", i % 2));
+    }
+    for retracted in [false, true] {
+        let dir = scratch(&format!("repeated-triple-{retracted}"));
+        drop(SegmentStore::create(&dir, b.clone().freeze().into(), NO_FSYNC).unwrap());
+        let path = dir.join("base-0.seg");
+        let bad = repeat_first_triple(&std::fs::read(&path).unwrap(), 3, retracted);
+        std::fs::write(&path, &bad).unwrap();
+
+        let expect_facts = |what: &str, res: Result<(), StoreError>| match res {
+            Err(StoreError::Corrupt { region: SegmentRegion::Facts, detail }) => {
+                assert!(detail.contains("duplicate triple"), "{what}: {detail}");
+            }
+            other => panic!("{what} (retracted: {retracted}): {other:?}"),
+        };
+        expect_facts("eager open", KbSnapshot::open_segment(&path).map(drop));
+        let store =
+            SegmentStore::open_with(&dir, NO_FSYNC).expect("lazy open reads only the header");
+        expect_facts("lazy first touch", store.view().prefault());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+}
