@@ -27,6 +27,13 @@
 //! (re-deriving and compressing the columns on open), and hidden `_v1`
 //! writers are retained so compatibility is testable forever.
 //!
+//! Images are streamed, never assembled in memory: [`write_image`]
+//! writes a zeroed preamble and region table, streams each region
+//! through a 64 KiB [`RegionWriter`] that keeps its running CRC and
+//! length, then seeks back to fill in the real header. The file writer
+//! and the in-memory image (a [`Cursor`] over a `Vec`) share that one
+//! path, so they are byte-identical.
+//!
 //! Two deliberate format choices keep cold-start cheap and recovery
 //! honest:
 //!
@@ -40,7 +47,8 @@
 //!   wrong KB: every failure is a typed [`StoreError::Corrupt`] naming
 //!   the damaged [`SegmentRegion`].
 
-use std::io::Write as _;
+use std::fs::File;
+use std::io::{Cursor, Seek, SeekFrom, Write};
 use std::ops::Range;
 use std::path::Path;
 use std::sync::Arc;
@@ -221,18 +229,34 @@ fn corrupt(region: SegmentRegion, detail: impl Into<String>) -> StoreError {
 }
 
 // ---------------------------------------------------------------------
-// Little-endian encode helpers.
+// Little-endian encode helpers, over any byte sink.
 
-fn put_u16(out: &mut Vec<u8>, v: u16) {
-    out.extend_from_slice(&v.to_le_bytes());
+/// Where the encoders put bytes: a plain `Vec<u8>` (the region table)
+/// or a [`RegionWriter`] streaming one region of an image to its file.
+trait Sink {
+    fn put(&mut self, bytes: &[u8]);
 }
 
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
+impl Sink for Vec<u8> {
+    fn put(&mut self, bytes: &[u8]) {
+        self.extend_from_slice(bytes);
+    }
 }
 
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
+fn put_u8(out: &mut impl Sink, v: u8) {
+    out.put(&[v]);
+}
+
+fn put_u16(out: &mut impl Sink, v: u16) {
+    out.put(&v.to_le_bytes());
+}
+
+fn put_u32(out: &mut impl Sink, v: u32) {
+    out.put(&v.to_le_bytes());
+}
+
+fn put_u64(out: &mut impl Sink, v: u64) {
+    out.put(&v.to_le_bytes());
 }
 
 // Tests shrink the length-field capacity so the checked-cast error is
@@ -276,15 +300,15 @@ pub(crate) fn check_len(len: usize, region: SegmentRegion) -> Result<u32, StoreE
     u32::try_from(len).map_err(|_| StoreError::TooLarge { region, len })
 }
 
-fn put_len(out: &mut Vec<u8>, len: usize, region: SegmentRegion) -> Result<(), StoreError> {
+fn put_len(out: &mut impl Sink, len: usize, region: SegmentRegion) -> Result<(), StoreError> {
     let v = check_len(len, region)?;
     put_u32(out, v);
     Ok(())
 }
 
-fn put_str(out: &mut Vec<u8>, s: &str, region: SegmentRegion) -> Result<(), StoreError> {
+fn put_str(out: &mut impl Sink, s: &str, region: SegmentRegion) -> Result<(), StoreError> {
     put_len(out, s.len(), region)?;
-    out.extend_from_slice(s.as_bytes());
+    out.put(s.as_bytes());
     Ok(())
 }
 
@@ -364,60 +388,52 @@ impl<'a> Cur<'a> {
 // Region encoders.
 
 fn encode_terms(
+    out: &mut impl Sink,
     terms: impl Iterator<Item = impl AsRef<str>>,
     count: usize,
     region: SegmentRegion,
-) -> Result<Vec<u8>, StoreError> {
-    let mut out = Vec::new();
-    put_len(&mut out, count, region)?;
+) -> Result<(), StoreError> {
+    put_len(out, count, region)?;
     for t in terms {
-        put_str(&mut out, t.as_ref(), region)?;
+        put_str(out, t.as_ref(), region)?;
     }
-    Ok(out)
+    Ok(())
 }
 
-fn encode_facts(facts: &[Fact]) -> Result<Vec<u8>, StoreError> {
-    let mut out = Vec::with_capacity(4 + facts.len() * 25);
-    put_len(&mut out, facts.len(), SegmentRegion::Facts)?;
+fn encode_facts(out: &mut impl Sink, facts: &[Fact]) -> Result<(), StoreError> {
+    put_len(out, facts.len(), SegmentRegion::Facts)?;
     for f in facts {
-        put_u32(&mut out, f.triple.s.0);
-        put_u32(&mut out, f.triple.p.0);
-        put_u32(&mut out, f.triple.o.0);
-        put_u64(&mut out, f.confidence.to_bits());
-        put_u32(&mut out, f.source.0);
+        put_u32(out, f.triple.s.0);
+        put_u32(out, f.triple.p.0);
+        put_u32(out, f.triple.o.0);
+        put_u64(out, f.confidence.to_bits());
+        put_u32(out, f.source.0);
         match f.span {
-            None => out.push(0),
+            None => put_u8(out, 0),
             Some(span) => {
-                out.push(1);
+                put_u8(out, 1);
                 let text = span.to_string();
-                put_u16(&mut out, text.len() as u16);
-                out.extend_from_slice(text.as_bytes());
+                put_u16(out, text.len() as u16);
+                out.put(text.as_bytes());
             }
         }
     }
-    Ok(out)
+    Ok(())
 }
 
-fn encode_perms(perms: &[Vec<u32>; 3]) -> Result<Vec<u8>, StoreError> {
-    let mut out = Vec::new();
-    for p in perms {
-        put_len(&mut out, p.len(), SegmentRegion::Permutations)?;
-        for &id in p {
-            put_u32(&mut out, id);
+/// Count-prefixed `u32` arrays: the v1 permutations and buckets regions.
+fn encode_u32_arrays(
+    out: &mut impl Sink,
+    arrays: &[Vec<u32>; 3],
+    region: SegmentRegion,
+) -> Result<(), StoreError> {
+    for arr in arrays {
+        put_len(out, arr.len(), region)?;
+        for &v in arr {
+            put_u32(out, v);
         }
     }
-    Ok(out)
-}
-
-fn encode_buckets(starts: &[Vec<u32>; 3]) -> Result<Vec<u8>, StoreError> {
-    let mut out = Vec::new();
-    for s in starts {
-        put_len(&mut out, s.len(), SegmentRegion::Buckets)?;
-        for &v in s {
-            put_u32(&mut out, v);
-        }
-    }
-    Ok(out)
+    Ok(())
 }
 
 /// Bytes per serialized frame descriptor: base u32 · enc u8 · width u8
@@ -428,23 +444,22 @@ pub(crate) const FRAME_META_LEN: usize = 4 + 1 + 1 + 4;
 /// Per column: row count, frame descriptors, then the raw payload —
 /// exactly the in-memory representation, so a reader installs it
 /// without re-encoding.
-fn encode_frames(cols: [&ColFrames; 15]) -> Result<Vec<u8>, StoreError> {
+fn encode_frames(out: &mut impl Sink, cols: [&ColFrames; 15]) -> Result<(), StoreError> {
     let region = SegmentRegion::Frames;
-    let mut out = Vec::new();
     for col in cols {
-        put_len(&mut out, col.len(), region)?;
-        put_len(&mut out, col.n_frames(), region)?;
+        put_len(out, col.len(), region)?;
+        put_len(out, col.n_frames(), region)?;
         for m in col.metas() {
-            put_u32(&mut out, m.base);
-            out.push(m.enc);
-            out.push(m.width);
-            put_u32(&mut out, m.end);
+            put_u32(out, m.base);
+            put_u8(out, m.enc);
+            put_u8(out, m.width);
+            put_u32(out, m.end);
         }
         let payload = col.payload();
-        put_len(&mut out, payload.len(), region)?;
-        out.extend_from_slice(payload);
+        put_len(out, payload.len(), region)?;
+        out.put(payload);
     }
-    Ok(out)
+    Ok(())
 }
 
 /// Decodes the v2 frames region back into the three permutations and
@@ -488,53 +503,50 @@ fn decode_frames(buf: &[u8]) -> Result<([PermFrames; 3], [ColFrames; 3]), StoreE
     Ok((perms, starts))
 }
 
-fn encode_taxonomy(tax: &Taxonomy) -> Result<Vec<u8>, StoreError> {
+fn encode_taxonomy(out: &mut impl Sink, tax: &Taxonomy) -> Result<(), StoreError> {
     let region = SegmentRegion::Taxonomy;
-    let mut out = Vec::new();
     let classes = tax.all_classes();
-    put_len(&mut out, classes.len(), region)?;
+    put_len(out, classes.len(), region)?;
     for c in &classes {
-        put_u32(&mut out, c.0);
+        put_u32(out, c.0);
     }
     let mut edges: Vec<(TermId, TermId)> = tax.edges().collect();
     edges.sort_unstable();
-    put_len(&mut out, edges.len(), region)?;
+    put_len(out, edges.len(), region)?;
     for (sub, sup) in edges {
-        put_u32(&mut out, sub.0);
-        put_u32(&mut out, sup.0);
+        put_u32(out, sub.0);
+        put_u32(out, sup.0);
     }
-    Ok(out)
+    Ok(())
 }
 
-fn encode_sameas(sameas: &SameAsStore) -> Result<Vec<u8>, StoreError> {
+fn encode_sameas(out: &mut impl Sink, sameas: &SameAsStore) -> Result<(), StoreError> {
     let region = SegmentRegion::SameAs;
-    let mut out = Vec::new();
     let classes = sameas.classes();
-    put_len(&mut out, classes.len(), region)?;
+    put_len(out, classes.len(), region)?;
     for class in classes {
-        put_len(&mut out, class.len(), region)?;
+        put_len(out, class.len(), region)?;
         for m in class {
-            put_u32(&mut out, m.0);
+            put_u32(out, m.0);
         }
     }
-    Ok(out)
+    Ok(())
 }
 
-fn encode_labels(labels: &LabelStore) -> Result<Vec<u8>, StoreError> {
+fn encode_labels(out: &mut impl Sink, labels: &LabelStore) -> Result<(), StoreError> {
     let region = SegmentRegion::Labels;
     let mut all: Vec<(TermId, &str, &str)> = labels
         .iter()
         .map(|(term, lang, form)| (term, labels.lang_tag(lang).unwrap_or(""), form))
         .collect();
     all.sort_unstable();
-    let mut out = Vec::new();
-    put_len(&mut out, all.len(), region)?;
+    put_len(out, all.len(), region)?;
     for (term, tag, form) in all {
-        put_u32(&mut out, term.0);
-        put_str(&mut out, tag, region)?;
-        put_str(&mut out, form, region)?;
+        put_u32(out, term.0);
+        put_str(out, tag, region)?;
+        put_str(out, form, region)?;
     }
-    Ok(out)
+    Ok(())
 }
 
 // ---------------------------------------------------------------------
@@ -720,30 +732,132 @@ fn decode_labels(buf: &[u8], term_count: usize) -> Result<LabelStore, StoreError
 }
 
 // ---------------------------------------------------------------------
-// File assembly: preamble + checksummed region table + region payloads.
+// Image writer: preamble + checksummed region table + region payloads,
+// streamed. A file write never holds its image in memory: the regions go
+// out in `WRITE_CHUNK` pieces and only the fixed-size header waits for
+// the end.
 
-fn assemble(magic: [u8; 4], version: u32, regions: Vec<(SegmentRegion, Vec<u8>)>) -> Vec<u8> {
-    let header_len = 4 + regions.len() * REGION_ENTRY_LEN;
+/// Bytes a [`RegionWriter`] buffers before each write to its output.
+const WRITE_CHUNK: usize = 64 * 1024;
+
+/// Streams region payloads to an image's output in [`WRITE_CHUNK`]
+/// pieces, keeping the current region's running CRC and byte count.
+/// The first I/O error sticks: later bytes are dropped and
+/// [`finish_region`](Self::finish_region) reports it, so encoders stay
+/// infallible on I/O and return only their own typed errors.
+struct RegionWriter<'w> {
+    out: &'w mut dyn Write,
+    buf: Vec<u8>,
+    crc: Crc32,
+    len: u64,
+    err: Option<std::io::Error>,
+}
+
+impl<'w> RegionWriter<'w> {
+    fn new(out: &'w mut dyn Write) -> Self {
+        Self { out, buf: Vec::with_capacity(WRITE_CHUNK), crc: Crc32::new(), len: 0, err: None }
+    }
+
+    fn drain(&mut self) {
+        self.crc.update(&self.buf);
+        if self.err.is_none() {
+            self.err = self.out.write_all(&self.buf).err();
+        }
+        self.buf.clear();
+    }
+
+    /// Ends the current region: drains the buffer and returns the
+    /// region's length and CRC, resetting both for the next region.
+    fn finish_region(&mut self) -> Result<(u64, u32), StoreError> {
+        self.drain();
+        if let Some(e) = self.err.take() {
+            return Err(e.into());
+        }
+        let done = (self.len, self.crc.finish());
+        self.len = 0;
+        self.crc = Crc32::new();
+        Ok(done)
+    }
+}
+
+impl Sink for RegionWriter<'_> {
+    fn put(&mut self, bytes: &[u8]) {
+        self.len += bytes.len() as u64;
+        if self.buf.len() + bytes.len() > WRITE_CHUNK {
+            self.drain();
+            if bytes.len() >= WRITE_CHUNK {
+                // A column payload: checksum and write it in place.
+                self.crc.update(bytes);
+                if self.err.is_none() {
+                    self.err = self.out.write_all(bytes).err();
+                }
+                return;
+            }
+        }
+        self.buf.extend_from_slice(bytes);
+    }
+}
+
+/// Streams one region's payload into a [`RegionWriter`].
+type EncodeRegion<'a> = Box<dyn FnOnce(&mut RegionWriter<'_>) -> Result<(), StoreError> + 'a>;
+
+/// Pairs a region with its encoder (the closure's signature comes from
+/// here, so call sites need no annotations).
+fn encoded<'a>(
+    region: SegmentRegion,
+    encode: impl FnOnce(&mut RegionWriter<'_>) -> Result<(), StoreError> + 'a,
+) -> (SegmentRegion, EncodeRegion<'a>) {
+    (region, Box::new(encode))
+}
+
+/// A segment image still to be written: its kind, format version and
+/// regions in file order.
+struct Image<'a> {
+    magic: [u8; 4],
+    version: u32,
+    regions: Vec<(SegmentRegion, EncodeRegion<'a>)>,
+}
+
+/// Streams `image` to `out`: a zeroed preamble and region table (their
+/// length is fixed by the region count), then every region in order,
+/// then a seek back to write the real preamble and table with each
+/// region's offset, length and CRC. Returns the image length and leaves
+/// `out` positioned at its end.
+fn write_image(out: &mut (impl Write + Seek), image: Image<'_>) -> Result<u64, StoreError> {
+    let header_len = 4 + image.regions.len() * REGION_ENTRY_LEN;
+    let data_start = PREAMBLE_LEN + header_len;
+    out.write_all(&vec![0; data_start])?;
     let mut header = Vec::with_capacity(header_len);
-    put_u32(&mut header, regions.len() as u32);
-    let mut offset = (PREAMBLE_LEN + header_len) as u64;
-    for (region, payload) in &regions {
-        header.push(region_tag(*region));
+    put_u32(&mut header, image.regions.len() as u32);
+    let mut offset = data_start as u64;
+    let mut w = RegionWriter::new(out);
+    for (region, encode) in image.regions {
+        encode(&mut w)?;
+        let (len, crc) = w.finish_region()?;
+        put_u8(&mut header, region_tag(region));
         put_u64(&mut header, offset);
-        put_u64(&mut header, payload.len() as u64);
-        put_u32(&mut header, crc32(payload));
-        offset += payload.len() as u64;
+        put_u64(&mut header, len);
+        put_u32(&mut header, crc);
+        offset += len;
     }
-    let mut out = Vec::with_capacity(offset as usize);
-    out.extend_from_slice(&magic);
-    put_u32(&mut out, version);
-    put_u32(&mut out, header.len() as u32);
-    put_u32(&mut out, crc32(&header));
-    out.extend_from_slice(&header);
-    for (_, payload) in regions {
-        out.extend_from_slice(&payload);
-    }
-    out
+    let mut prefix = Vec::with_capacity(data_start);
+    prefix.put(&image.magic);
+    put_u32(&mut prefix, image.version);
+    put_u32(&mut prefix, header.len() as u32);
+    put_u32(&mut prefix, crc32(&header));
+    prefix.put(&header);
+    out.seek(SeekFrom::Start(0))?;
+    out.write_all(&prefix)?;
+    out.seek(SeekFrom::Start(offset))?;
+    Ok(offset)
+}
+
+/// The bytes [`write_image`] would stream to a file, in memory (the WAL
+/// payload, the compatibility tests).
+fn image_bytes(image: Image<'_>) -> Result<Vec<u8>, StoreError> {
+    let mut out = Cursor::new(Vec::new());
+    write_image(&mut out, image)?;
+    Ok(out.into_inner())
 }
 
 /// Parses and validates the preamble + region table of a segment image,
@@ -880,58 +994,55 @@ fn region<'a>(
 // ---------------------------------------------------------------------
 // Base snapshot image.
 
-/// Serializes a base snapshot to its segment image (current format:
-/// the compressed frames region carries the indexes verbatim).
-pub(crate) fn snapshot_to_bytes(snap: &KbSnapshot) -> Result<Vec<u8>, StoreError> {
+/// A base snapshot's segment image in format `version`: v2 carries the
+/// compressed frames region verbatim, v1 the raw fact-id permutations
+/// plus offset buckets (kept so backward compatibility of the reader
+/// stays under test; not used by the write path).
+fn snapshot_image(snap: &KbSnapshot, version: u32) -> Image<'_> {
     let core = snap.core();
-    let regions = vec![
-        (
-            SegmentRegion::Dictionary,
-            encode_terms(
-                core.dict.iter().map(|(_, t)| t),
-                core.dict.len(),
-                SegmentRegion::Dictionary,
-            )?,
-        ),
-        (
-            SegmentRegion::Sources,
-            encode_terms(core.sources.names().iter(), core.sources.len(), SegmentRegion::Sources)?,
-        ),
-        (SegmentRegion::Facts, encode_facts(&core.facts)?),
-        (SegmentRegion::Frames, encode_frames(snap.indexes().frame_cols())?),
-        (SegmentRegion::Taxonomy, encode_taxonomy(snap.taxonomy())?),
-        (SegmentRegion::SameAs, encode_sameas(snap.sameas())?),
-        (SegmentRegion::Labels, encode_labels(snap.labels())?),
+    let mut regions = vec![
+        encoded(SegmentRegion::Dictionary, |w| {
+            let terms = core.dict.iter().map(|(_, t)| t);
+            encode_terms(w, terms, core.dict.len(), SegmentRegion::Dictionary)
+        }),
+        encoded(SegmentRegion::Sources, |w| {
+            encode_terms(w, core.sources.names().iter(), core.sources.len(), SegmentRegion::Sources)
+        }),
+        encoded(SegmentRegion::Facts, |w| encode_facts(w, &core.facts)),
     ];
-    Ok(assemble(MAGIC_BASE, FORMAT_VERSION, regions))
+    regions.extend(index_regions(snap.indexes(), version));
+    regions.push(encoded(SegmentRegion::Taxonomy, |w| encode_taxonomy(w, snap.taxonomy())));
+    regions.push(encoded(SegmentRegion::SameAs, |w| encode_sameas(w, snap.sameas())));
+    regions.push(encoded(SegmentRegion::Labels, |w| encode_labels(w, snap.labels())));
+    Image { magic: MAGIC_BASE, version, regions }
 }
 
-/// Serializes a base snapshot in the legacy v1 layout (raw fact-id
-/// permutations + offset buckets). Kept so backward-compatibility of
-/// the reader stays under test; not used by the write path.
+/// The index regions of a base or delta image in format `version`.
+fn index_regions(indexes: &FrozenIndexes, version: u32) -> Vec<(SegmentRegion, EncodeRegion<'_>)> {
+    if version == FORMAT_VERSION_V1 {
+        vec![
+            encoded(SegmentRegion::Permutations, |w| {
+                encode_u32_arrays(w, &indexes.perm_fact_ids(), SegmentRegion::Permutations)
+            }),
+            encoded(SegmentRegion::Buckets, |w| {
+                encode_u32_arrays(w, &indexes.bucket_starts_vec(), SegmentRegion::Buckets)
+            }),
+        ]
+    } else {
+        vec![encoded(SegmentRegion::Frames, |w| encode_frames(w, indexes.frame_cols()))]
+    }
+}
+
+/// Serializes a base snapshot to its current-format segment image.
+#[cfg(test)]
+pub(crate) fn snapshot_to_bytes(snap: &KbSnapshot) -> Result<Vec<u8>, StoreError> {
+    image_bytes(snapshot_image(snap, FORMAT_VERSION))
+}
+
+/// Serializes a base snapshot in the legacy v1 layout.
+#[cfg(test)]
 pub(crate) fn snapshot_to_bytes_v1(snap: &KbSnapshot) -> Result<Vec<u8>, StoreError> {
-    let core = snap.core();
-    let regions = vec![
-        (
-            SegmentRegion::Dictionary,
-            encode_terms(
-                core.dict.iter().map(|(_, t)| t),
-                core.dict.len(),
-                SegmentRegion::Dictionary,
-            )?,
-        ),
-        (
-            SegmentRegion::Sources,
-            encode_terms(core.sources.names().iter(), core.sources.len(), SegmentRegion::Sources)?,
-        ),
-        (SegmentRegion::Facts, encode_facts(&core.facts)?),
-        (SegmentRegion::Permutations, encode_perms(&snap.indexes().perm_fact_ids())?),
-        (SegmentRegion::Buckets, encode_buckets(&snap.indexes().bucket_starts_vec())?),
-        (SegmentRegion::Taxonomy, encode_taxonomy(snap.taxonomy())?),
-        (SegmentRegion::SameAs, encode_sameas(snap.sameas())?),
-        (SegmentRegion::Labels, encode_labels(snap.labels())?),
-    ];
-    Ok(assemble(MAGIC_BASE, FORMAT_VERSION_V1, regions))
+    image_bytes(snapshot_image(snap, FORMAT_VERSION_V1))
 }
 
 /// Decodes and validates the index regions of a base or delta image,
@@ -1222,51 +1333,52 @@ pub(crate) fn delta_open_lazy(
 // ---------------------------------------------------------------------
 // Delta segment image.
 
-fn delta_common_regions(delta: &DeltaSegment) -> Result<Vec<(SegmentRegion, Vec<u8>)>, StoreError> {
-    let mut meta = Vec::with_capacity(8);
-    put_u32(&mut meta, delta.first_term().0);
-    put_u32(&mut meta, delta.first_source_id());
-    let mut kinds = Vec::with_capacity(4 + delta.kinds.len());
-    put_len(&mut kinds, delta.kinds.len(), SegmentRegion::Kinds)?;
-    kinds.extend(delta.kinds.iter().map(|k| match k {
-        FactKind::New => 0u8,
-        FactKind::Shadow => 1,
-        FactKind::Tombstone => 2,
-    }));
-    Ok(vec![
-        (SegmentRegion::DeltaMeta, meta),
-        (
-            SegmentRegion::Dictionary,
-            encode_terms(delta.ext_terms.iter(), delta.ext_terms.len(), SegmentRegion::Dictionary)?,
-        ),
-        (
-            SegmentRegion::Sources,
-            encode_terms(
-                delta.ext_sources.iter(),
-                delta.ext_sources.len(),
-                SegmentRegion::Sources,
-            )?,
-        ),
-        (SegmentRegion::Facts, encode_facts(&delta.facts)?),
-        (SegmentRegion::Kinds, kinds),
-    ])
+/// A delta segment's image in format `version` (the two versions
+/// differ only in their index regions, as for base images).
+fn delta_image(delta: &DeltaSegment, version: u32) -> Image<'_> {
+    let mut regions = vec![
+        encoded(SegmentRegion::DeltaMeta, |w| {
+            put_u32(w, delta.first_term().0);
+            put_u32(w, delta.first_source_id());
+            Ok(())
+        }),
+        encoded(SegmentRegion::Dictionary, |w| {
+            let terms = delta.ext_terms.iter();
+            encode_terms(w, terms, delta.ext_terms.len(), SegmentRegion::Dictionary)
+        }),
+        encoded(SegmentRegion::Sources, |w| {
+            let names = delta.ext_sources.iter();
+            encode_terms(w, names, delta.ext_sources.len(), SegmentRegion::Sources)
+        }),
+        encoded(SegmentRegion::Facts, |w| encode_facts(w, &delta.facts)),
+        encoded(SegmentRegion::Kinds, |w| {
+            put_len(w, delta.kinds.len(), SegmentRegion::Kinds)?;
+            for k in &delta.kinds {
+                let tag = match k {
+                    FactKind::New => 0,
+                    FactKind::Shadow => 1,
+                    FactKind::Tombstone => 2,
+                };
+                put_u8(w, tag);
+            }
+            Ok(())
+        }),
+    ];
+    regions.extend(index_regions(&delta.indexes, version));
+    Image { magic: MAGIC_DELTA, version, regions }
 }
 
 /// Serializes a delta segment to its image (also the WAL payload).
 pub(crate) fn delta_to_bytes(delta: &DeltaSegment) -> Result<Vec<u8>, StoreError> {
-    let mut regions = delta_common_regions(delta)?;
-    regions.push((SegmentRegion::Frames, encode_frames(delta.indexes.frame_cols())?));
-    Ok(assemble(MAGIC_DELTA, FORMAT_VERSION, regions))
+    image_bytes(delta_image(delta, FORMAT_VERSION))
 }
 
 /// Serializes a delta segment in the legacy v1 layout. Retained for
 /// compatibility tests only (old WAL records and delta files carry v1
 /// images that must keep replaying).
+#[cfg(test)]
 pub(crate) fn delta_to_bytes_v1(delta: &DeltaSegment) -> Result<Vec<u8>, StoreError> {
-    let mut regions = delta_common_regions(delta)?;
-    regions.push((SegmentRegion::Permutations, encode_perms(&delta.indexes.perm_fact_ids())?));
-    regions.push((SegmentRegion::Buckets, encode_buckets(&delta.indexes.bucket_starts_vec())?));
-    Ok(assemble(MAGIC_DELTA, FORMAT_VERSION_V1, regions))
+    image_bytes(delta_image(delta, FORMAT_VERSION_V1))
 }
 
 /// Deserializes and fully validates a delta segment image. Whether the
@@ -1343,50 +1455,102 @@ pub(crate) fn delta_from_bytes(buf: &[u8]) -> Result<DeltaSegment, StoreError> {
 // ---------------------------------------------------------------------
 // File-level helpers.
 
-/// Writes `bytes` to `path` atomically: write to a sibling temp file,
-/// flush (+ optional fsync), rename into place, then fsync the parent
-/// directory so the rename itself is durable.
-pub(crate) fn write_file_atomic(path: &Path, bytes: &[u8], fsync: bool) -> Result<(), StoreError> {
+/// Writes a file atomically: `write` streams the content into a sibling
+/// temp file, which is flushed (+ optional fsync) and renamed into
+/// place, then the parent directory is fsynced so the rename itself is
+/// durable. On any error the temp file is removed and `path` is left as
+/// it was. Returns what `write` returned (the byte count).
+pub(crate) fn write_file_with(
+    path: &Path,
+    fsync: bool,
+    write: impl FnOnce(&mut File) -> Result<u64, StoreError>,
+) -> Result<u64, StoreError> {
     let tmp = path.with_extension("tmp");
-    {
-        let mut f = std::fs::File::create(&tmp)?;
-        f.write_all(bytes)?;
+    let written = (|| -> Result<u64, StoreError> {
+        let mut f = File::create(&tmp)?;
+        let n = write(&mut f)?;
         f.flush()?;
         if fsync {
-            f.sync_all()?;
+            sync_file(&f)?;
         }
+        drop(f);
+        std::fs::rename(&tmp, path)?;
+        Ok(n)
+    })();
+    if written.is_err() {
+        std::fs::remove_file(&tmp).ok();
     }
-    std::fs::rename(&tmp, path)?;
+    let n = written?;
     if fsync {
         fsync_dir(path.parent().unwrap_or_else(|| Path::new(".")))?;
     }
-    Ok(())
+    Ok(n)
+}
+
+/// Writes `bytes` to `path` atomically (see [`write_file_with`]).
+pub(crate) fn write_file_atomic(path: &Path, bytes: &[u8], fsync: bool) -> Result<(), StoreError> {
+    write_file_with(path, fsync, |f| {
+        f.write_all(bytes)?;
+        Ok(bytes.len() as u64)
+    })
+    .map(drop)
+}
+
+// Tests count the fsyncs each thread issues, so a store opened without
+// fsync can be shown to issue none. Thread-local so parallel tests
+// cannot perturb each other.
+#[cfg(test)]
+thread_local! {
+    static TEST_FSYNCS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// Fsyncs issued so far on the current thread (test-only).
+#[cfg(test)]
+pub(crate) fn fsyncs_on_this_thread() -> u64 {
+    TEST_FSYNCS.with(|c| c.get())
+}
+
+/// `sync_all`, the one place the store forces a file to disk.
+pub(crate) fn sync_file(f: &File) -> std::io::Result<()> {
+    #[cfg(test)]
+    TEST_FSYNCS.with(|c| c.set(c.get() + 1));
+    f.sync_all()
 }
 
 /// Fsyncs a directory so a just-completed rename/create within it
 /// survives power loss. Best-effort on platforms that refuse to open
 /// directories for sync.
 pub(crate) fn fsync_dir(dir: &Path) -> Result<(), StoreError> {
-    match std::fs::File::open(dir) {
-        Ok(f) => {
-            f.sync_all().ok();
-            Ok(())
-        }
-        Err(_) => Ok(()),
+    if let Ok(f) = File::open(dir) {
+        sync_file(&f).ok();
     }
+    Ok(())
+}
+
+/// Streams `image` to the segment file at `path` (atomically, fsynced
+/// when `fsync`), recording the write in the `store.segment.*` metrics.
+/// Returns the number of bytes written.
+fn write_segment_file(path: &Path, fsync: bool, image: Image<'_>) -> Result<u64, StoreError> {
+    let obs = kb_obs::global();
+    let span = obs.span("store.segment.write_us");
+    let bytes = write_file_with(path, fsync, |f| write_image(f, image))?;
+    span.stop();
+    obs.counter("store.segment.writes").inc();
+    obs.counter("store.segment.bytes").add(bytes);
+    Ok(bytes)
 }
 
 impl KbSnapshot {
     /// Writes this snapshot as a checksummed base segment file
     /// (atomically; fsynced). Returns the number of bytes written.
     pub fn write_segment(&self, path: impl AsRef<Path>) -> Result<u64, StoreError> {
-        let obs = kb_obs::global();
-        let span = obs.span("store.segment.write_us");
-        let bytes = snapshot_to_bytes(self)?;
-        write_file_atomic(path.as_ref(), &bytes, true)?;
-        span.stop();
-        obs.counter("store.segment.writes").inc();
-        Ok(bytes.len() as u64)
+        self.write_segment_with(path.as_ref(), true)
+    }
+
+    /// [`write_segment`](Self::write_segment) with the fsync choice
+    /// left to the caller (a store passes its `StoreOptions::fsync`).
+    pub(crate) fn write_segment_with(&self, path: &Path, fsync: bool) -> Result<u64, StoreError> {
+        write_segment_file(path, fsync, snapshot_image(self, FORMAT_VERSION))
     }
 
     /// Writes this snapshot in the legacy v1 segment layout. Exists so
@@ -1394,9 +1558,7 @@ impl KbSnapshot {
     /// normal code should use [`KbSnapshot::write_segment`].
     #[doc(hidden)]
     pub fn write_segment_v1(&self, path: impl AsRef<Path>) -> Result<u64, StoreError> {
-        let bytes = snapshot_to_bytes_v1(self)?;
-        write_file_atomic(path.as_ref(), &bytes, true)?;
-        Ok(bytes.len() as u64)
+        write_segment_file(path.as_ref(), true, snapshot_image(self, FORMAT_VERSION_V1))
     }
 
     /// Opens a base segment file, validating every checksum and
@@ -1416,9 +1578,13 @@ impl DeltaSegment {
     /// Writes this delta as a checksummed delta segment file
     /// (atomically; fsynced). Returns the number of bytes written.
     pub fn write_segment(&self, path: impl AsRef<Path>) -> Result<u64, StoreError> {
-        let bytes = delta_to_bytes(self)?;
-        write_file_atomic(path.as_ref(), &bytes, true)?;
-        Ok(bytes.len() as u64)
+        self.write_segment_with(path.as_ref(), true)
+    }
+
+    /// [`write_segment`](Self::write_segment) with the fsync choice
+    /// left to the caller (a store passes its `StoreOptions::fsync`).
+    pub(crate) fn write_segment_with(&self, path: &Path, fsync: bool) -> Result<u64, StoreError> {
+        write_segment_file(path, fsync, delta_image(self, FORMAT_VERSION))
     }
 
     /// Writes this delta in the legacy v1 segment layout. Exists so
@@ -1426,9 +1592,7 @@ impl DeltaSegment {
     /// should use [`DeltaSegment::write_segment`].
     #[doc(hidden)]
     pub fn write_segment_v1(&self, path: impl AsRef<Path>) -> Result<u64, StoreError> {
-        let bytes = delta_to_bytes_v1(self)?;
-        write_file_atomic(path.as_ref(), &bytes, true)?;
-        Ok(bytes.len() as u64)
+        write_segment_file(path.as_ref(), true, delta_image(self, FORMAT_VERSION_V1))
     }
 
     /// Opens a delta segment file, validating checksums and structure.
@@ -1521,10 +1685,14 @@ mod tests {
         let err = with_len_limit(2, || snapshot_to_bytes(&snap)).unwrap_err();
         assert!(matches!(err, StoreError::TooLarge { .. }), "expected TooLarge, got {err:?}");
         // The writers thread the error out through the public API.
+        // A streamed write fails after bytes reached the disk; it must
+        // still leave neither its temp file nor the target behind.
         let dir = std::env::temp_dir().join(format!("kbseg-big-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
         std::fs::create_dir_all(&dir).unwrap();
         let err = with_len_limit(2, || snap.write_segment(dir.join("big.seg"))).unwrap_err();
         assert!(matches!(err, StoreError::TooLarge { .. }));
+        assert_eq!(dir_entries(&dir), Vec::<String>::new(), "failed write left files behind");
         // Every region encoder is checked, not just the dictionary: a
         // limit of 2 lets two-element tables through but still trips on
         // the first longer string/column, so sweep a range of limits
@@ -1535,11 +1703,108 @@ mod tests {
                 panic!("limit {limit}: expected TooLarge, got {err:?}")
             };
             assert!(len > limit, "reported len {len} must exceed the limit {limit}");
+            let err = with_len_limit(limit, || snap.write_segment(dir.join("big.seg")));
+            assert!(matches!(err, Err(StoreError::TooLarge { .. })), "limit {limit}: {err:?}");
+            assert_eq!(dir_entries(&dir), Vec::<String>::new(), "limit {limit}: files left");
         }
         // Unlimited writes still succeed afterwards (the limit is
         // scoped, not sticky).
         assert!(snapshot_to_bytes(&snap).is_ok());
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    fn dir_entries(dir: &Path) -> Vec<String> {
+        let mut names: Vec<String> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        names.sort();
+        names
+    }
+
+    /// Passes writes through to a file until `budget` bytes have gone
+    /// out, then fails every write.
+    struct FailAfter<'f> {
+        file: &'f mut File,
+        budget: usize,
+    }
+
+    impl Write for FailAfter<'_> {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            if self.budget == 0 {
+                return Err(std::io::Error::other("injected write failure"));
+            }
+            let n = self.file.write(&buf[..buf.len().min(self.budget)])?;
+            self.budget -= n;
+            Ok(n)
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            self.file.flush()
+        }
+    }
+
+    impl Seek for FailAfter<'_> {
+        fn seek(&mut self, pos: SeekFrom) -> std::io::Result<u64> {
+            self.file.seek(pos)
+        }
+    }
+
+    #[test]
+    fn a_write_failing_midway_is_a_typed_io_error_and_leaves_no_file() {
+        let snap = sample_snapshot();
+        let image = snapshot_to_bytes(&snap).unwrap();
+        // The writer puts out the zeroed header, the regions, then the
+        // real header again: fail at every point along that stream.
+        let header_len = region_map(&image).unwrap()[0].1.end;
+        let total = image.len() + header_len;
+        let dir = std::env::temp_dir().join(format!("kbseg-failing-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("base.seg");
+        for budget in (0..total).step_by(13).chain([header_len, image.len(), total - 1]) {
+            let err = write_file_with(&path, false, |file| {
+                write_image(&mut FailAfter { file, budget }, snapshot_image(&snap, FORMAT_VERSION))
+            })
+            .unwrap_err();
+            assert!(matches!(err, StoreError::Io(_)), "budget {budget}: {err:?}");
+            assert_eq!(dir_entries(&dir), Vec::<String>::new(), "budget {budget}: files left");
+        }
+        // With room for the whole stream the same path writes the image.
+        let n = write_file_with(&path, false, |file| {
+            write_image(
+                &mut FailAfter { file, budget: total },
+                snapshot_image(&snap, FORMAT_VERSION),
+            )
+        })
+        .unwrap();
+        assert_eq!(n as usize, image.len());
+        assert_eq!(std::fs::read(&path).unwrap(), image);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn region_writer_streams_exact_bytes_length_and_crc() {
+        // Small puts that cross chunk boundaries, plus puts at and past
+        // the chunk size (written through), in one region.
+        let pieces: Vec<Vec<u8>> =
+            [3, WRITE_CHUNK - 1, 7, WRITE_CHUNK, 1, 3 * WRITE_CHUNK + 5, 0, 9]
+                .iter()
+                .enumerate()
+                .map(|(i, &n)| (0..n).map(|j| (i * 31 + j * 7) as u8).collect())
+                .collect();
+        let want: Vec<u8> = pieces.concat();
+        let mut out = Vec::new();
+        let mut w = RegionWriter::new(&mut out);
+        for p in &pieces {
+            w.put(p);
+        }
+        assert_eq!(w.finish_region().unwrap(), (want.len() as u64, crc32(&want)));
+        // The next region starts from a fresh length and CRC.
+        w.put(b"123456789");
+        assert_eq!(w.finish_region().unwrap(), (9, 0xCBF4_3926));
+        assert_eq!(out.len(), want.len() + 9);
+        assert_eq!(&out[..want.len()], &want[..]);
     }
 
     #[test]
@@ -1709,8 +1974,19 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("base.seg");
         let snap = sample_snapshot();
+        // Other tests write segments too, so the global counters can
+        // only be bounded from below.
+        let obs = kb_obs::global();
+        let (writes, bytes) =
+            (obs.counter("store.segment.writes").get(), obs.counter("store.segment.bytes").get());
         let written = snap.write_segment(&path).unwrap();
         assert_eq!(written, std::fs::metadata(&path).unwrap().len());
+        let view = SegmentedSnapshot::from_base(sample_snapshot().into_shared());
+        let mut d = KbBuilder::new();
+        d.assert_str("Tim_Cook", "worksAt", "Apple_Inc");
+        let delta_written = d.freeze_delta(&view).write_segment(dir.join("delta.seg")).unwrap();
+        assert!(obs.counter("store.segment.writes").get() >= writes + 2);
+        assert!(obs.counter("store.segment.bytes").get() >= bytes + written + delta_written);
         let reopened = KbSnapshot::open_segment(&path).unwrap();
         assert_eq!(
             crate::ntriples::to_string(&snap).unwrap(),
@@ -1723,5 +1999,134 @@ mod tests {
             reopened.count_matching(&TriplePattern::with_s(jobs)),
         );
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Streamed files against in-memory images, over random KBs.
+    mod streamed {
+        use proptest::prelude::*;
+
+        use super::*;
+        use crate::segment_store::{SegmentStore, StoreOptions};
+        use crate::Compactor;
+
+        /// `(s, p, o, source, confidence byte, span year)` per fact.
+        type RawFact = (u8, u8, u8, u8, u8, Option<i32>);
+
+        fn raw_facts(max: usize) -> impl Strategy<Value = Vec<RawFact>> {
+            prop::collection::vec(
+                (0u8..24, 0u8..4, 0u8..24, 0u8..3, any::<u8>(), prop::option::of(1900i32..2030)),
+                0..max,
+            )
+        }
+
+        fn add_raw(b: &mut KbBuilder, &(s, p, o, src, conf, year): &RawFact) {
+            let source = b.register_source(&format!("src{src}"));
+            let triple = Triple::new(
+                b.intern(&format!("e{s}")),
+                b.intern(&format!("r{p}")),
+                b.intern(&format!("e{o}")),
+            );
+            b.add_fact(Fact {
+                triple,
+                confidence: (f64::from(conf) + 1.0) / 256.0,
+                source,
+                span: year.map(|y| TimeSpan::at(TimePoint::year(y))),
+            });
+        }
+
+        fn retract_raw(b: &mut KbBuilder, &(s, p, o, ..): &RawFact) {
+            b.retract_str(&format!("e{s}"), &format!("r{p}"), &format!("e{o}"));
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(48))]
+
+            /// Every file the store writes — `create`'s base, `seal`'s
+            /// deltas, `compact`'s new base, and the public v1 and v2
+            /// writers — is byte-identical to the in-memory image, and
+            /// each writer returns the file's length.
+            #[test]
+            fn streamed_segment_files_equal_in_memory_images(
+                facts in raw_facts(60),
+                retract in prop::collection::vec(any::<prop::sample::Index>(), 0..6),
+                subclass in prop::collection::vec((0u8..24, 0u8..24), 0..8),
+                same in prop::collection::vec((0u8..24, 0u8..24), 0..6),
+                labels in prop::collection::vec((0u8..24, 0u8..3, "[ -~]{0,8}"), 0..10),
+                delta_facts in raw_facts(20),
+                delta_retract in prop::collection::vec(any::<prop::sample::Index>(), 0..4),
+            ) {
+                let mut b = KbBuilder::new();
+                for f in &facts {
+                    add_raw(&mut b, f);
+                }
+                for ix in &retract {
+                    if !facts.is_empty() {
+                        retract_raw(&mut b, &facts[ix.index(facts.len())]);
+                    }
+                }
+                for &(sub, sup) in &subclass {
+                    let (sub, sup) = (b.intern(&format!("e{sub}")), b.intern(&format!("e{sup}")));
+                    b.taxonomy.add_subclass(sub, sup).ok();
+                }
+                for &(x, y) in &same {
+                    let (x, y) = (b.intern(&format!("e{x}")), b.intern(&format!("e{y}")));
+                    b.sameas.declare(x, y);
+                }
+                for (term, lang, form) in &labels {
+                    let term = b.intern(&format!("e{term}"));
+                    let lang = b.labels.lang(["en", "de", "fr"][*lang as usize]);
+                    b.labels.add(term, lang, form);
+                }
+                let snap = Arc::new(b.freeze());
+
+                let dir = std::env::temp_dir()
+                    .join(format!("kbseg-streamed-{}-{:?}", std::process::id(), std::thread::current().id()));
+                std::fs::remove_dir_all(&dir).ok();
+                std::fs::create_dir_all(&dir).unwrap();
+                let file = |name: &str| std::fs::read(dir.join(name)).unwrap();
+
+                let n = snap.write_segment(dir.join("v2.seg")).unwrap();
+                prop_assert_eq!(n as usize, file("v2.seg").len());
+                prop_assert!(file("v2.seg") == snapshot_to_bytes(&snap).unwrap());
+                let n = snap.write_segment_v1(dir.join("v1.seg")).unwrap();
+                prop_assert_eq!(n as usize, file("v1.seg").len());
+                prop_assert!(file("v1.seg") == snapshot_to_bytes_v1(&snap).unwrap());
+
+                let store_dir = dir.join("store");
+                let options = StoreOptions { fsync: false, seal_every: 0, memory_budget: None };
+                let mut store = SegmentStore::create(&store_dir, Arc::clone(&snap), options).unwrap();
+                let store_file = |name: &str| std::fs::read(store_dir.join(name)).unwrap();
+                prop_assert!(store_file("base-0.seg") == snapshot_to_bytes(&snap).unwrap());
+
+                let mut d = KbBuilder::new();
+                for f in &delta_facts {
+                    add_raw(&mut d, f);
+                }
+                for ix in &delta_retract {
+                    if !facts.is_empty() {
+                        retract_raw(&mut d, &facts[ix.index(facts.len())]);
+                    }
+                }
+                let delta = Arc::new(d.freeze_delta(&store.view()));
+                let n = delta.write_segment(dir.join("d2.seg")).unwrap();
+                prop_assert_eq!(n as usize, file("d2.seg").len());
+                prop_assert!(file("d2.seg") == delta_to_bytes(&delta).unwrap());
+                let n = delta.write_segment_v1(dir.join("d1.seg")).unwrap();
+                prop_assert_eq!(n as usize, file("d1.seg").len());
+                prop_assert!(file("d1.seg") == delta_to_bytes_v1(&delta).unwrap());
+
+                store.install_delta(Arc::clone(&delta)).unwrap();
+                let sealed = store.seal().unwrap();
+                prop_assert!(store_file("delta-0-1.seg") == delta_to_bytes(&delta).unwrap());
+                prop_assert_eq!(sealed.bytes as usize, store_file("delta-0-1.seg").len());
+
+                prop_assert!(store.compact(&Compactor::default(), true).unwrap());
+                let compacted = store.view();
+                prop_assert!(
+                    store_file("base-1.seg") == snapshot_to_bytes(compacted.base()).unwrap()
+                );
+                std::fs::remove_dir_all(&dir).ok();
+            }
+        }
     }
 }

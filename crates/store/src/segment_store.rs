@@ -180,7 +180,7 @@ impl SegmentStore {
             wal: wal_name(0),
             compacted_from: None,
         };
-        base.write_segment(dir.join(&manifest.base))?;
+        base.write_segment_with(&dir.join(&manifest.base), options.fsync)?;
         let wal = Wal::create(dir.join(&manifest.wal), 0, options.fsync)?;
         manifest.store(&dir, options.fsync)?;
         let view = SegmentedSnapshot::from_base(base);
@@ -416,7 +416,7 @@ impl SegmentStore {
         let mut new_manifest = self.manifest.clone();
         for (seq, delta) in &self.unsealed {
             let name = delta_name(self.manifest.generation, *seq);
-            bytes += delta.write_segment(self.dir.join(&name))?;
+            bytes += delta.write_segment_with(&self.dir.join(&name), self.options.fsync)?;
             new_manifest.deltas.push(name);
             new_manifest.applied_seq = *seq;
         }
@@ -463,7 +463,7 @@ impl SegmentStore {
             wal: wal_name(generation),
             compacted_from: Some(self.manifest.generation),
         };
-        base.write_segment(self.dir.join(&new_manifest.base))?;
+        base.write_segment_with(&self.dir.join(&new_manifest.base), self.options.fsync)?;
         let wal = Wal::create(self.dir.join(&new_manifest.wal), generation, self.options.fsync)?;
         // Commit point: the manifest rename switches generations.
         new_manifest.store(&self.dir, self.options.fsync)?;
@@ -518,6 +518,27 @@ mod tests {
         let mut b = KbBuilder::new();
         push_fact(&mut b, s, p, o, 0.8, "delta-src");
         Arc::new(b.freeze_delta(view))
+    }
+
+    #[test]
+    fn the_fsync_option_reaches_every_file_the_store_writes() {
+        // create, install, seal and compact on this thread; the counter
+        // is per thread, so parallel tests cannot perturb it.
+        let run = |name: &str, fsync: bool| {
+            let dir = temp_dir(name);
+            let before = segment_io::fsyncs_on_this_thread();
+            let options = StoreOptions { fsync, ..no_fsync() };
+            let mut store = SegmentStore::create(&dir, base_snapshot(), options).unwrap();
+            store.install_delta(delta_on(&store.view(), "Ulm", "locatedIn", "Germany")).unwrap();
+            store.seal().unwrap();
+            assert!(store.compact(&Compactor::default(), true).unwrap());
+            std::fs::remove_dir_all(&dir).ok();
+            segment_io::fsyncs_on_this_thread() - before
+        };
+        assert_eq!(run("fsync-off", false), 0, "a no-fsync store fsynced");
+        // With fsync on, each of create, seal and compact syncs its
+        // segment file, the WAL and the manifest, plus their directory.
+        assert!(run("fsync-on", true) >= 9);
     }
 
     #[test]
